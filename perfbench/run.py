@@ -8,10 +8,12 @@ Usage (from the repository root):
 workload (set-up, measured phase, recovery, compaction).  ``--trace 1``
 pairs an untraced measured phase with a traced run of the whole workload
 and reports per-layer metrics (see perfbench/NOTES.md).  Runs repeat
-until ``--seconds`` of wall time have passed, at least once; simulated
-figures must come out bit-identical on every repeat, wall figures are
-medians.  Progress and the per-phase wall-time tables go to stderr; the
-last line of stdout is one JSON object.  A wrong answer exits non-zero.
+while another one still fits in ``--seconds`` of wall time, at least
+once; simulated figures must come out bit-identical on every repeat,
+wall figures (scaled to a reference speed, see perfbench/speed.py) are
+medians over the repeats.  Progress and the per-phase wall-time tables
+go to stderr; the last line of stdout is one JSON object.  A wrong
+answer exits non-zero.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ def main(argv=None) -> int:
     peak_rss_mb = None
     try:
         while True:
+            rep_started = time.perf_counter()
             if args.trace:
                 # The untraced twin only needs its measured phase: it is the
                 # baseline of trace.overhead_pct.
@@ -130,7 +133,9 @@ def main(argv=None) -> int:
                 # The first run's peak: later repeats raise the process
                 # peak by allocator fragmentation, not by the workload.
                 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            if time.perf_counter() - started >= args.seconds:
+            now = time.perf_counter()
+            # Stop unless one more repeat, as long as the last, still fits.
+            if now + (now - rep_started) - started > args.seconds:
                 break
         reps = untraced + traced
         setups = [rep.setup_s for rep in reps]
@@ -154,10 +159,12 @@ def main(argv=None) -> int:
 
     attempted = sum(rep.measured.attempted for rep in reps)
     failed = sum(rep.measured.failed for rep in reps)
+    scales = [rep.speed_scale for rep in reps]
     print(
         f"perfbench: {args.workload} seed={args.seed} untraced runs={len(untraced)} "
         f"traced runs={len(traced)} samples update={reference.samples['update']} "
-        f"read={reference.samples['read']} wall={time.perf_counter() - started:.1f}s",
+        f"read={reference.samples['read']} wall={time.perf_counter() - started:.1f}s "
+        f"speed scale={min(scales):.3f}..{max(scales):.3f}",
         file=sys.stderr,
     )
     untraced_ops = statistics.median([rep.wall["wall_ops_per_s"] for rep in untraced])

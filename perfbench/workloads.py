@@ -6,7 +6,9 @@ Each workload runs on a 3-node cluster with 1 KB values and Zipfian
 the virtual-time scheduler (``repro.sim.scheduler``); every operation is
 queue-aware: it reaches its tablet server one request leg after it was
 issued and waits there until the server's clock is free, so simulated
-latencies include queueing behind other clients' work.
+latencies include queueing behind other clients' work.  YCSB clients
+are homed on one node each and draw keys from that node's tablets, so
+every server has the same number of clients queueing on it.
 
 Everything random derives from the ``seed`` argument, and the measured
 work is a fixed number of operations, so every simulated figure of a
@@ -15,12 +17,13 @@ run is a pure function of (workload, seed).
 
 from __future__ import annotations
 
+import gc
 import random
-import time
 from bisect import bisect_left
 from itertools import accumulate
 from dataclasses import dataclass, field
 from math import ceil
+from statistics import fmean
 
 from repro.bench.adapters import GROUP, LOAD_BUFFER, TABLE, USERTABLE_SCHEMA
 from repro.bench.tpcw import CART_SCHEMA, ITEM_SCHEMA, ORDERS_SCHEMA
@@ -33,13 +36,13 @@ from repro.obs.trace import uninstall_tracer
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Advance, ConcurrentScheduler, Invoke
 from repro.txn.mvocc import TransactionManager
+from speed import SpeedProbe
 
 N_NODES = 3
 VALUE_BYTES = 1000
 THETA = 1.0
 REQUEST_OVERHEAD = 64  # RPC framing, as in repro.core.client
 ACK_BYTES = 16
-RECOVERY_REPEATS = 5  # kill/recover cycles per run; wall time is their median
 HEARTBEAT_INTERVAL = 0.01  # simulated seconds between heartbeat ticks
 SCAN_END = b"\xff" * 32
 
@@ -53,7 +56,7 @@ class Shape:
     """The sizes that define one workload."""
 
     records_per_node: int  # ycsb: user records; tpcw: items and carts each
-    clients_per_node: int
+    clients_per_node: int  # ycsb: homed on the node; tpcw: any key
     ops_per_client: int
     think_ms: float  # mean of each client's exponential think time
     reads_per_client: int  # exact count per client, so totals are fixed
@@ -63,21 +66,24 @@ class Shape:
 
 SHAPES = {
     "ycsb-update": Shape(
-        records_per_node=1000, clients_per_node=4, ops_per_client=1800, think_ms=1.0,
-        reads_per_client=90,
+        records_per_node=500, clients_per_node=4, ops_per_client=260, think_ms=1.0,
+        reads_per_client=13,
     ),
     # Read cache 51 KB and block cache 25 KB (three 8 KB chunks) per node
     # against ~250 KB of records per node.  The chunk is smaller than the
     # 64 KB default so the block cache holds more than one chunk at this
-    # heap; blocks and segments keep their 64 MB size.
+    # heap; blocks and segments keep their 64 MB size.  A cache miss
+    # costs ~12.7 simulated ms; a think time near it (and a dozen
+    # clients per node to keep the servers busy) spreads arrivals over
+    # service periods, so waits are not whole multiples of one miss.
     "ycsb-read-verified": Shape(
-        records_per_node=240, clients_per_node=4, ops_per_client=334, think_ms=1.5,
-        reads_per_client=317,
+        records_per_node=240, clients_per_node=12, ops_per_client=80, think_ms=5.0,
+        reads_per_client=76,
         heap_bytes=256 * 1024, block_cache_chunk=8 * 1024,
     ),
     "tpcw-ordering-observed": Shape(
-        records_per_node=300, clients_per_node=4, ops_per_client=500, think_ms=1.0,
-        reads_per_client=250,
+        records_per_node=300, clients_per_node=4, ops_per_client=250, think_ms=1.0,
+        reads_per_client=125,
     ),
 }
 
@@ -122,13 +128,13 @@ class Measured:
     read_latencies: list[float] = field(default_factory=list)
     update_latencies: list[float] = field(default_factory=list)
     makespan: float = 0.0
-    wall_s: float = 0.0
     mismatches: list[str] = field(default_factory=list)
 
 
 @dataclass
 class RepResult:
-    """One set-up plus measured phase plus recovery plus compaction."""
+    """One set-up plus measured phase plus recovery plus compaction.
+    Wall figures are scaled to the reference speed (see speed.py)."""
 
     setup_s: float
     measured: Measured
@@ -136,6 +142,7 @@ class RepResult:
     wall: dict[str, float]
     ratios: dict[str, float]
     samples: dict[str, int]
+    speed_scale: float  # reference kernel time over the median measured one
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -157,6 +164,7 @@ class State:
     tables: list[tuple[str, str]]
     keys: dict[str, list[bytes]] = field(default_factory=dict)
     order: dict[str, list[int]] = field(default_factory=dict)
+    home_keys: list[list[bytes]] = field(default_factory=list)  # per server, hottest first
     txn: TransactionManager | None = None
     version: int = 0
 
@@ -253,6 +261,10 @@ def setup(name: str, seed: int) -> State:
         keys = _random_keys(rng, n)
         state.keys[TABLE] = keys
         state.order[TABLE] = order = popularity_order(cluster, TABLE, keys, rng)
+        state.home_keys = [
+            [keys[i] for i in order if cluster.master.locate(TABLE, keys[i])[0] == server.name]
+            for server in cluster.servers
+        ]
         # Coldest first: the LRU read cache ends set-up holding the
         # hottest records, which warms it without a read pass.
         _bulk_load(
@@ -353,10 +365,13 @@ def _legs(machine: Machine, server, request_bytes: int, response_bytes: int):
 
 def _ycsb_ops(state: State, slot: int, machine: Machine, rng: random.Random):
     """Operations through the public Client API (routing, RPC framing);
-    timing is taken on the serving tablet server's clock."""
+    timing is taken on the serving tablet server's clock.  The client is
+    homed on server ``slot % N_NODES`` and picks keys by popularity among
+    that server's keys."""
     master = state.cluster.master
     client = Client(master, machine)
-    chooser = KeyChooser(state.keys[TABLE], state.order[TABLE], state.seed * 1000 + slot)
+    home = state.home_keys[slot % N_NODES]
+    chooser = KeyChooser(home, list(range(len(home))), state.seed * 1000 + slot)
     model = state.model
     for is_read in _kinds(SHAPES[state.name], rng):
         key = chooser.next()
@@ -452,9 +467,7 @@ def measure(state: State) -> Measured:
         scheduler.add_client(_closed_loop(ops, shape, rng, out, ends))
     if state.cluster.config.monitoring:
         scheduler.add_client(_heartbeat_ticker(state.cluster, ends, len(machines)))
-    start = time.perf_counter()
     scheduler.run()
-    out.wall_s = time.perf_counter() - start
     out.makespan = max(ends)
     return out
 
@@ -464,8 +477,7 @@ def measure(state: State) -> Measured:
 
 def recover(cluster: LogBaseCluster, victim: str):
     """Kill one tablet server and recover it from its checkpoint plus
-    log tail.  Block caches start empty, so every repeat does the same
-    work."""
+    log tail, with every block cache empty."""
     cluster.kill_server(victim)
     cluster.dfs.drop_block_caches()
     return cluster.restart_server(victim, recover=True)
@@ -538,11 +550,12 @@ def run_rep(name: str, seed: int, tracer=None, *, full: bool = True) -> RepResul
     server and compact every server.  Outputs are checked after each step.
 
     With a :class:`~layers.LayerTracer` the timed phases are traced
-    (set-up and the checks never are).
+    (set-up and the checks never are).  Every timed phase starts after a
+    garbage collection, so none pays for the garbage of the last.
     """
-    start = time.perf_counter()
-    state = setup(name, seed)
-    setup_s = time.perf_counter() - start
+    probe = SpeedProbe(periodic=tracer is None)
+    gc.collect()
+    state, setup_s = probe.timed(setup, name, seed)
     cluster = state.cluster
     if tracer is not None:
         tracer.install()
@@ -559,7 +572,8 @@ def run_rep(name: str, seed: int, tracer=None, *, full: bool = True) -> RepResul
         counters0, cache0, txn0 = (
             cluster.total_counters(), _read_cache_totals(cluster), txn_counts()
         )
-        measured = phase("measured", measure, state)
+        gc.collect()
+        measured, measured_s = probe.timed(phase, "measured", measure, state)
         counters1, cache1, txn1 = (
             cluster.total_counters(), _read_cache_totals(cluster), txn_counts()
         )
@@ -568,19 +582,17 @@ def run_rep(name: str, seed: int, tracer=None, *, full: bool = True) -> RepResul
                 f"{len(measured.mismatches)} wrong reads, e.g. {measured.mismatches[0]}"
             )
         if full:
-            victim = cluster.servers[0].name
-            recovery_walls = []
-            for attempt in range(RECOVERY_REPEATS):
-                t = time.perf_counter()
-                if attempt == 0:
-                    report = phase("recovery", recover, cluster, victim)
-                else:
-                    recover(cluster, victim)
-                recovery_walls.append(time.perf_counter() - t)
-            check_servers(state, [cluster.server_by_name(victim)])
-            t = time.perf_counter()
-            sim_compaction_s, compaction_bytes = phase("compaction", compact, cluster)
-            wall_compaction_s = time.perf_counter() - t
+            # Each server in turn is killed and recovered, so the figures
+            # do not hang on how one server's log tail lies in its blocks.
+            recoveries = []  # (report, scaled wall seconds)
+            for victim in [server.name for server in cluster.servers]:
+                gc.collect()
+                recoveries.append(probe.timed(phase, "recovery", recover, cluster, victim))
+            check_servers(state, cluster.servers)
+            gc.collect()
+            (sim_compaction_s, compaction_bytes), wall_compaction_s = probe.timed(
+                phase, "compaction", compact, cluster
+            )
             check_servers(state, cluster.servers)
             log_bytes = sum(server.log.total_bytes() for server in cluster.servers)
     finally:
@@ -600,7 +612,7 @@ def run_rep(name: str, seed: int, tracer=None, *, full: bool = True) -> RepResul
         "sim_read_p50_ms": 1e3 * percentile(lat_r, 0.50),
         "sim_read_p99_ms": 1e3 * percentile(lat_r, 0.99),
     }
-    wall = {"wall_ops_per_s": _ratio(done, measured.wall_s)}
+    wall = {"wall_ops_per_s": _ratio(done, measured_s)}
     block_hits, block_misses = delta("blockcache.hits"), delta("blockcache.misses")
     read_hits, read_misses = cache1[0] - cache0[0], cache1[1] - cache0[1]
     commits, aborts = txn1[0] - txn0[0], txn1[1] - txn0[1]
@@ -618,25 +630,24 @@ def run_rep(name: str, seed: int, tracer=None, *, full: bool = True) -> RepResul
     }
     if full:
         user_bytes = sum(len(value) for value in state.model.values())
-        sim["sim_recovery_s"] = report.seconds
+        sim["sim_recovery_s"] = fmean(report.seconds for report, _ in recoveries)
         sim["sim_compaction_s"] = sim_compaction_s
         sim["space_amp"] = _ratio(log_bytes, user_bytes)
-        wall["wall_recovery_s"] = sorted(recovery_walls)[len(recovery_walls) // 2]
+        wall["wall_recovery_s"] = fmean(seconds for _, seconds in recoveries)
         wall["wall_compaction_s"] = wall_compaction_s
         ratios["recovery.records_redone"] = float(
-            report.writes_applied + report.deletes_applied
+            sum(report.writes_applied + report.deletes_applied for report, _ in recoveries)
         )
         ratios["compaction.bytes_written_per_user_byte"] = _ratio(
             compaction_bytes, user_bytes
         )
     samples = {"update": len(lat_u), "read": len(lat_r)}
-    return RepResult(setup_s, measured, sim, wall, ratios, samples)
+    return RepResult(setup_s, measured, sim, wall, ratios, samples, probe.scale())
 
 
 def setup_only(name: str, seed: int) -> float:
-    """One more set-up, timed and discarded (set-up time is a median)."""
-    start = time.perf_counter()
-    state = setup(name, seed)
-    elapsed = time.perf_counter() - start
+    """One more set-up, timed (scaled) and discarded: set-up time is a median."""
+    gc.collect()
+    state, seconds = SpeedProbe().timed(setup, name, seed)
     teardown(state)
-    return elapsed
+    return seconds
