@@ -11,8 +11,12 @@ Two halves, both pass/fail bars reported like a benchmark:
 * **Overhead bound**: a monitored cluster at the default production
   scrape cadence (``monitor_scrape_interval``) must cost less than
   :data:`OVERHEAD_BOUND` extra wall-clock time on a write/read workload
-  versus the identical cluster with the gate off (min-of-N timing on
-  both arms to shed scheduler noise).
+  versus the identical cluster with the gate off.  Each timing pair
+  builds one cluster per arm and interleaves them op by op, alternating
+  which arm goes first; the pair's ratio is its on/off wall-time sum,
+  and the bar is on the median ratio over the pairs.  Both arms of a
+  pair run within a fraction of a millisecond of each other, so the
+  host's speed swings hit them alike instead of landing on one arm.
 
 One row per oracle entry and a trajectory entry appended to
 ``BENCH_monitoring.json`` at the repo root.  Run directly
@@ -22,9 +26,11 @@ One row per oracle entry and a trajectory entry appended to
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import random
+import statistics
 import time
 
 from repro.chaos.detection import (
@@ -42,10 +48,10 @@ TRAJECTORY = REPO_ROOT / "BENCH_monitoring.json"
 #: maximum tolerated wall-clock overhead of the enabled gate.
 OVERHEAD_BOUND = 0.05
 
-#: overhead workload size / timing repetitions (min-of-N per arm).
+#: overhead workload size / interleaved on-off timing pairs.
 OVERHEAD_OPS = 400
-OVERHEAD_REPEATS = 5
-SMOKE_OVERHEAD_REPEATS = 3
+OVERHEAD_PAIRS = 31
+SMOKE_OVERHEAD_PAIRS = 21
 
 #: smoke subset: one scenario per family, covering every alert shape
 #: (gauge threshold, counter delta, SLO burn / staleness).
@@ -57,9 +63,10 @@ SMOKE_SCENARIOS = (
 )
 
 
-def _overhead_workload(monitoring: bool, ops: int, seed: int) -> float:
-    """Wall-clock seconds for the standard write/read loop with the
-    monitoring gate on or off (everything else identical)."""
+def _overhead_workload(monitoring: bool, ops: int, seed: int):
+    """The standard write/read loop with the monitoring gate on or off
+    (everything else identical), as a generator that yields after each
+    operation so two arms can be timed in lock step."""
     config = LogBaseConfig.with_fault_tolerance(
         segment_size=64 * 1024, monitoring=monitoring
     )
@@ -71,32 +78,57 @@ def _overhead_workload(monitoring: bool, ops: int, seed: int) -> float:
         for v in rng.sample(range(KEY_DOMAIN), ops)
     ]
     client = db.client(db.cluster.machines[-1])
-    start = time.perf_counter()
+    yield  # set-up done; the timed operations follow
     for i, key in enumerate(keys):
         client.put_raw(TABLE, key, GROUP, b"v" * 64)
         if i % 3 == 0:
             client.get_raw(TABLE, keys[rng.randrange(i + 1)], GROUP)
         db.cluster.heartbeat()
-    wall = time.perf_counter() - start
+        yield
     if db.cluster.monitor is not None:
         db.cluster.monitor.close()
-    return wall
+
+
+def _timed_pair(ops: int, seed: int) -> tuple[float, float]:
+    """Wall seconds of the off and on arms, run op by op in lock step."""
+    arms = {
+        False: _overhead_workload(False, ops, seed),
+        True: _overhead_workload(True, ops, seed),
+    }
+    for arm in arms.values():
+        next(arm)
+    wall = {False: 0.0, True: 0.0}
+    clock = time.perf_counter
+    gc.collect()
+    for i in range(ops):
+        # Alternate which arm goes first so neither always runs on a
+        # warmer cache than its partner.
+        for monitoring in (False, True) if i % 2 == 0 else (True, False):
+            start = clock()
+            next(arms[monitoring])
+            wall[monitoring] += clock() - start
+    for arm in arms.values():
+        next(arm, None)  # closes the monitor
+    return wall[False], wall[True]
 
 
 def measure_overhead(
     ops: int = OVERHEAD_OPS,
-    repeats: int = OVERHEAD_REPEATS,
+    pairs: int = OVERHEAD_PAIRS,
     seed: int = 1,
 ) -> dict:
-    """Min-of-N wall clock for both arms and the relative overhead."""
-    off = min(_overhead_workload(False, ops, seed) for _ in range(repeats))
-    on = min(_overhead_workload(True, ops, seed) for _ in range(repeats))
+    """Interleaved on/off pairs; the overhead is the median paired ratio."""
+    timed = [_timed_pair(ops, seed) for _ in range(pairs)]
+    offs = [off for off, _ in timed]
+    ons = [on for _, on in timed]
+    ratios = [on / off for off, on in timed]
     return {
         "ops": ops,
-        "repeats": repeats,
-        "wall_off_seconds": off,
-        "wall_on_seconds": on,
-        "overhead": on / off - 1.0 if off > 0 else 0.0,
+        "pairs": pairs,
+        "wall_off_seconds": statistics.median(offs),
+        "wall_on_seconds": statistics.median(ons),
+        "paired_ratios": ratios,
+        "overhead": statistics.median(ratios) - 1.0,
         "bound": OVERHEAD_BOUND,
     }
 
@@ -106,7 +138,7 @@ def run_experiment(seed: int = 1, *, smoke: bool = False) -> dict:
     scenarios = SMOKE_SCENARIOS if smoke else tuple(EXPECTED_ALERTS)
     detections = detection_matrix(seed, scenarios=scenarios)
     overhead = measure_overhead(
-        repeats=SMOKE_OVERHEAD_REPEATS if smoke else OVERHEAD_REPEATS,
+        pairs=SMOKE_OVERHEAD_PAIRS if smoke else OVERHEAD_PAIRS,
         seed=seed,
     )
     rows = [d.to_dict() for d in detections]
@@ -179,7 +211,7 @@ def format_report(results: dict) -> str:
         f"(bound {overhead['bound']:.0%}; "
         f"{overhead['wall_off_seconds'] * 1000:.1f}ms off -> "
         f"{overhead['wall_on_seconds'] * 1000:.1f}ms on, "
-        f"{overhead['ops']} ops, min of {overhead['repeats']})"
+        f"{overhead['ops']} ops, median of {overhead['pairs']} paired ratios)"
     )
     problems = check(results)
     lines.append(
@@ -232,7 +264,7 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one scenario per family + fewer overhead repeats",
+        help="one scenario per family + fewer overhead pairs",
     )
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()

@@ -1,24 +1,24 @@
-"""Recovery-time sweep: parallel hot-first redo vs the sequential scan.
+"""Recovery-time sweep: hot-first redo on ``WORKERS`` workers vs one.
 
 For each log size the same workload runs twice on fresh single-server
-3-node clusters — once with the ``fast_recovery`` gate off (the seed's
-sequential checkpoint+redo path) and once with it on (redo partitioned
-across virtual workers, tablets brought up hottest-first and served as
-each completes).  A checkpoint lands at the quarter mark so both arms
-reload indexes *and* redo a long tail, the workload heats one tablet so
-the hot-first ordering has a signal, then the server is crashed and
-restarted through recovery.
+3-node clusters — once with ``recovery_workers=1`` (one lane scans the
+tail and brings every tablet up in turn) and once with
+``recovery_workers=WORKERS`` (redo partitioned across virtual workers,
+tablets brought up hottest-first and served as each completes).  A
+checkpoint lands at the quarter mark so both arms reload indexes *and*
+redo a long tail, the workload heats one tablet so the hot-first
+ordering has a signal, then the server is crashed and restarted through
+recovery.
 
-Reports recovery seconds per arm (simulated: machine-clock delta for
-sequential, worker-fleet makespan for parallel), the time until the
-*hot* tablet serves again, and cross-arm parity of the recovery reports
-and index state (the parallel path must rebuild exactly the sequential
-result).  Appends a run entry to ``BENCH_recovery.json`` at the repo
-root.
+Reports recovery seconds per arm (simulated worker-fleet makespan), the
+time until the *hot* tablet serves again on the parallel arm, and
+cross-arm parity of the recovery reports and index state (the worker
+count must not change the rebuilt state).  Appends a run entry to
+``BENCH_recovery.json`` at the repo root.
 
 Run directly (``python benchmarks/bench_recovery.py [--smoke]``) or via
-pytest, which asserts the acceptance bars: parallel recovery beats
-sequential at every size, the hot tablet serves measurably before full
+pytest, which asserts the acceptance bars: the parallel arm beats one
+worker at every size, the hot tablet serves measurably before full
 recovery completes, and both arms apply identical record counts and
 index contents.
 """
@@ -92,15 +92,11 @@ def index_signature(db: LogBase, keys: list[bytes]) -> set:
     return signature
 
 
-def run_arm(ops: int, *, fast: bool) -> tuple[dict, set]:
-    """One fresh-cluster crash/recover arm.  Only the ``fast_recovery``
-    gate differs between arms — shared knobs stay at seed defaults so the
+def run_arm(ops: int, *, workers: int) -> tuple[dict, set]:
+    """One fresh-cluster crash/recover arm.  Only ``recovery_workers``
+    differs between arms — shared knobs stay at seed defaults so the
     cost models are identical and the seconds are comparable."""
-    config = LogBaseConfig(
-        segment_size=32 * 1024,
-        fast_recovery=fast,
-        recovery_workers=WORKERS,
-    )
+    config = LogBaseConfig(segment_size=32 * 1024, recovery_workers=workers)
     db = LogBase(n_nodes=3, config=config)
     db.create_table(
         SCHEMA,
@@ -113,16 +109,11 @@ def run_arm(ops: int, *, fast: bool) -> tuple[dict, set]:
     hot_tablet = str(db.cluster.master.locate(TABLE, hot_key)[1].tablet_id)
     db.cluster.kill_node(SERVER)
     report = db.cluster.restart_server(SERVER)
-    first_hot = (
-        report.tablet_ready.get(hot_tablet, report.seconds)
-        if report.parallel
-        else report.seconds  # sequential serves nothing until the end
-    )
     arm = {
-        "fast_recovery": fast,
+        "workers": workers,
         "ops": ops,
         "recovery_seconds": report.seconds,
-        "first_hot_ready_seconds": first_hot,
+        "first_hot_ready_seconds": report.tablet_ready[hot_tablet],
         "hot_tablet": hot_tablet,
         "records_scanned": report.records_scanned,
         "writes_applied": report.writes_applied,
@@ -142,18 +133,18 @@ def run_experiment(sizes=SIZES) -> dict:
         "curve": [],
     }
     for ops in sizes:
-        sequential, seq_signature = run_arm(ops, fast=False)
-        parallel, par_signature = run_arm(ops, fast=True)
+        single, single_signature = run_arm(ops, workers=1)
+        parallel, par_signature = run_arm(ops, workers=WORKERS)
         point = {
             "ops": ops,
-            "sequential": sequential,
+            "one_worker": single,
             "parallel": parallel,
             "speedup": (
-                sequential["recovery_seconds"] / parallel["recovery_seconds"]
+                single["recovery_seconds"] / parallel["recovery_seconds"]
                 if parallel["recovery_seconds"]
                 else 0.0
             ),
-            "index_state_identical": seq_signature == par_signature,
+            "index_state_identical": single_signature == par_signature,
         }
         results["curve"].append(point)
     return results
@@ -163,13 +154,13 @@ def format_report(results: dict) -> str:
     lines = [
         f"Recovery sweep ({results['tablets']} tablets, "
         f"{results['workers']} workers, {results['record_size']} B records)",
-        f"{'ops':>6} {'seq s':>9} {'par s':>9} {'speedup':>8} "
+        f"{'ops':>6} {'1-wkr s':>9} {'par s':>9} {'speedup':>8} "
         f"{'first-hot s':>12} {'state':>6}",
     ]
     for point in results["curve"]:
         lines.append(
             f"{point['ops']:>6d} "
-            f"{point['sequential']['recovery_seconds']:>9.4f} "
+            f"{point['one_worker']['recovery_seconds']:>9.4f} "
             f"{point['parallel']['recovery_seconds']:>9.4f} "
             f"{point['speedup']:>7.1f}x "
             f"{point['parallel']['first_hot_ready_seconds']:>12.4f} "
@@ -191,11 +182,11 @@ def check_acceptance(results: dict) -> list[str]:
     failures = []
     for point in results["curve"]:
         ops = point["ops"]
-        sequential, parallel = point["sequential"], point["parallel"]
-        if parallel["recovery_seconds"] >= sequential["recovery_seconds"]:
+        single, parallel = point["one_worker"], point["parallel"]
+        if parallel["recovery_seconds"] >= single["recovery_seconds"]:
             failures.append(
                 f"ops={ops}: parallel {parallel['recovery_seconds']:.4f}s did "
-                f"not beat sequential {sequential['recovery_seconds']:.4f}s"
+                f"not beat one worker {single['recovery_seconds']:.4f}s"
             )
         if (
             parallel["first_hot_ready_seconds"]
@@ -212,10 +203,10 @@ def check_acceptance(results: dict) -> list[str]:
             "uncommitted_ignored",
             "records_scanned",
         ):
-            if sequential[field] != parallel[field]:
+            if single[field] != parallel[field]:
                 failures.append(
                     f"ops={ops}: {field} diverged "
-                    f"({sequential[field]} vs {parallel[field]})"
+                    f"({single[field]} vs {parallel[field]})"
                 )
         if not point["index_state_identical"]:
             failures.append(f"ops={ops}: recovered index state diverged")

@@ -8,7 +8,12 @@ value epsilon below is substituted.
 
 from __future__ import annotations
 
+import math
 import random
+
+# Fractional part of the golden ratio: a multiplier near ``n / phi``
+# spreads consecutive ranks far apart across [0, n).
+_GOLDEN_FRACTION = 0.6180339887498949
 
 
 class UniformGenerator:
@@ -36,8 +41,10 @@ class ZipfianGenerator:
         n: domain size.
         theta: skew; the paper's coefficient 1.0 is clamped to 0.9999.
         seed: RNG seed (deterministic experiments).
-        scrambled: hash the rank so popular items spread over the key
-            space (YCSB's scrambled-Zipfian, used for load balance).
+        scrambled: permute the ranks so popular items spread over the
+            key space (YCSB's scrambled-Zipfian, used for load balance).
+            The permutation is an affine map with a multiplier coprime
+            to ``n``, so every key in [0, n) stays reachable.
     """
 
     def __init__(
@@ -54,7 +61,14 @@ class ZipfianGenerator:
         self._zetan = self._zeta(n)
         self._zeta2 = self._zeta(2)
         self._alpha = 1.0 / (1.0 - theta)
-        self._eta = self._compute_eta()
+        # Ranks 0 and 1 are drawn in closed form; eta only shapes the
+        # tail past them (and its formula divides by zero at n = 2).
+        self._eta = self._compute_eta() if n > 2 else 0.0
+        multiplier = max(1, round(n * _GOLDEN_FRACTION))
+        while math.gcd(multiplier, n) != 1:
+            multiplier += 1
+        self._multiplier = multiplier
+        self._offset = 0x85EBCA6B % n
 
     def _zeta(self, n: int) -> float:
         return sum(1.0 / (i ** self._theta) for i in range(1, n + 1))
@@ -73,8 +87,9 @@ class ZipfianGenerator:
         else:
             rank = int(self._n * (self._eta * u - self._eta + 1) ** self._alpha)
         rank = min(rank, self._n - 1)
-        if not self._scrambled:
-            return rank
-        # FNV-style scramble to spread the hot set across the domain.
-        h = (rank * 0x9E3779B97F4A7C15 + 0x85EBCA6B) & ((1 << 64) - 1)
-        return h % self._n
+        return self.key_for_rank(rank) if self._scrambled else rank
+
+    def key_for_rank(self, rank: int) -> int:
+        """The key a popularity rank maps to under the scramble: a
+        bijection on [0, n) (the multiplier is coprime to ``n``)."""
+        return (rank * self._multiplier + self._offset) % self._n

@@ -1,7 +1,7 @@
 """Recovery chaos: crashes *during* recovery itself must stay safe.
 
-Fast recovery adds three windows the older schedules never exercised:
-the parallel redo pass of a restarting server, the splitter writing a
+Recovery has three windows the older schedules never exercise: the
+parallel redo pass of a restarting server, the splitter writing a
 dead peer's per-tablet split files, and an adopter replaying a split
 file into its own log.  Each scenario here arms a kill rule at the
 matching crash point (``CP_RECOVERY_MID``, ``CP_SPLIT_PERSIST``,
@@ -105,7 +105,7 @@ def _seeded_cluster(
     """A cluster with every tablet on the victim, ``ops`` acked writes
     (checkpoint at the halfway mark so both checkpoint reload and tail
     redo run), and a heat profile the heartbeat has already snapshotted."""
-    config = LogBaseConfig.with_fast_recovery(
+    config = LogBaseConfig.with_fault_tolerance(
         segment_size=64 * 1024,
         monitoring=monitoring,
         monitor_scrape_interval=0.0,  # chaos detection: scrape every beat

@@ -338,13 +338,7 @@ def run_chaos(
     if n_nodes < 4:
         raise ValueError("chaos topology needs >= 4 nodes")
     if config is None:
-        # The matrix runs with incremental compaction on: its per-plan
-        # installs are the newest crash surface the oracle must cover
-        # (CP_COMPACTION_MID now fires once per plan).  Pass an explicit
-        # config to exercise the monolithic path instead.
-        config = LogBaseConfig.with_fault_tolerance(
-            segment_size=64 * 1024, incremental_compaction=True
-        )
+        config = LogBaseConfig.with_fault_tolerance(segment_size=64 * 1024)
     db = LogBase(n_nodes=n_nodes, config=config)
     db.cluster.master.enable_auto_failover()
     db.create_table(SCHEMA, tablets_per_server=2, only_servers=list(HOME_SERVERS))

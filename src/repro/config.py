@@ -111,29 +111,14 @@ class LogBaseConfig:
         admission_queue_depth: bounded in-flight queue per tablet server,
             in EWMA service times; requests past it are shed with
             ``ServerOverloadedError`` + retry-after (None disables).
-        incremental_compaction: replace the one-shot full compaction with
-            the size-tiered planner: unsorted tail segments are always
-            eligible, sorted runs only merge when a tier accumulates
-            enough similar-sized runs, and only the touched (table,
-            group) indexes are swapped.  Off by default so the seed
-            figures are reproduced byte-identically;
-            :meth:`with_incremental_compaction` enables it.
         compaction_tier_fanout: sorted runs of one (table, group) merge
             only when at least this many similar-sized runs have
             accumulated in a size tier (the size-tiered trigger).
         compaction_max_input_bytes: I/O budget per compaction plan —
             a plan stops adding input segments past this many bytes
             (None removes the cap).
-        fast_recovery: restart recovery partitions the redo scan per
-            tablet and multiplexes per-tablet redo workers over the
-            virtual-time scheduler, bringing tablets back to serving in
-            access-heat order the moment their own redo completes; ops on
-            still-recovering tablets are rejected with a retryable
-            ``TabletRecoveringError``.  Off by default so the seed
-            figures (fig18's sequential recovery included) are reproduced
-            byte-identically; :meth:`with_fast_recovery` enables it.
         recovery_workers: parallel redo workers (scan + per-tablet
-            bring-up lanes) a fast recovery multiplexes over the
+            bring-up lanes) restart recovery multiplexes over the
             scheduler.
         live_migration: enable the live-migration subsystem
             (:mod:`repro.core.migration`): lease-based tablet ownership
@@ -267,9 +252,7 @@ class LogBaseConfig:
     breaker_cooldown: float = 2.0
     breaker_min_samples: int = 3
     admission_queue_depth: int | None = None
-    fast_recovery: bool = False
     recovery_workers: int = 4
-    incremental_compaction: bool = False
     compaction_tier_fanout: int = 4
     compaction_max_input_bytes: int | None = None
     live_migration: bool = False
@@ -344,7 +327,8 @@ class LogBaseConfig:
 
         The plain constructor keeps all of it off so the seed cost model
         and figures are reproduced byte-identically; this preset is what
-        the chaos harness (``repro.chaos``) runs under.
+        the chaos harness (``repro.chaos``) runs under, the recovery
+        chaos schedules included.
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
@@ -378,30 +362,6 @@ class LogBaseConfig:
             "hedge_reads": True,
             "breaker_enabled": True,
             "admission_queue_depth": 64,
-        }
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
-    def with_fast_recovery(cls, **overrides) -> "LogBaseConfig":
-        """A config with the fast-recovery subsystem enabled on top of
-        the fault-tolerance layer: parallel per-tablet redo over the
-        virtual-time scheduler, hot-first tablet bring-up with
-        serve-while-recovering (``TabletRecoveringError`` honored by the
-        client's retry backoff), and crash-safe split/adopt handoff.
-
-        The plain constructor keeps it off so the seed cost model and
-        figures (fig18's sequential recovery included) are reproduced
-        byte-identically; this preset is what the recovery benchmark
-        (``bench_recovery``) and recovery chaos schedules measure.
-        """
-        settings: dict = {
-            "dfs_checksum_replicas": True,
-            "dfs_verify_reads": True,
-            "dfs_auto_rereplicate": True,
-            "dfs_degraded_allocation": True,
-            "client_retry_limit": 3,
-            "fast_recovery": True,
         }
         settings.update(overrides)
         return cls(**settings)
@@ -456,24 +416,6 @@ class LogBaseConfig:
             "client_retry_limit": 4,
             "live_migration": True,
             "read_replicas": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
-    def with_incremental_compaction(cls, **overrides) -> "LogBaseConfig":
-        """A config with incremental size-tiered compaction enabled: the
-        planner splits each round into per-run plans (unsorted tail plus
-        size-tiered merges of sorted runs), sorted inputs stream through
-        a k-way merge, and only the touched (table, group) indexes are
-        swapped.
-
-        The plain constructor keeps it off so the seed cost model and
-        figures are reproduced byte-identically; this preset is what the
-        churn benchmark (``bench_compaction``) measures.
-        """
-        settings: dict = {
-            "incremental_compaction": True,
         }
         settings.update(overrides)
         return cls(**settings)

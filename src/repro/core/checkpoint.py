@@ -103,7 +103,7 @@ class CheckpointManager:
     def load_tablet(self, block: CheckpointBlock, tablet_id: str) -> int:
         """Reload only one tablet's index files from ``block``.
 
-        Fast recovery staggers checkpoint reloads per tablet so each
+        Recovery staggers checkpoint reloads per tablet so each
         tablet pays only its own DFS reads before it can serve; the
         caller restores the LSN cursor once for the whole pass.  Returns
         the number of index files loaded.

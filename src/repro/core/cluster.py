@@ -86,7 +86,7 @@ class LogBaseCluster:
         self.failures = FailureInjector()
         # Master-side view of tablet access heat, folded in from server
         # heartbeats.  It survives server crashes (the server's own heat
-        # dies with its memory) so fast recovery can order bring-up.
+        # dies with its memory) so recovery can order bring-up.
         self.tablet_heat: dict[str, float] = {}
         # When each heat entry last belonged to an assigned tablet, in
         # makespan seconds — unassigned ("ghost") entries decay from here.
@@ -254,12 +254,11 @@ class LogBaseCluster:
         re-adopt).  Returns the :class:`~repro.core.recovery.RecoveryReport`
         when recovery ran, else None.
 
-        With ``config.fast_recovery`` on, recovery runs the parallel
-        hot-first path: redo partitioned across ``recovery_workers``
-        virtual workers, tablets brought up hottest-first (using the
-        heartbeat heat snapshot) and served as each one completes.
+        Recovery partitions the redo across ``recovery_workers`` virtual
+        workers and brings tablets up hottest-first (using the heartbeat
+        heat snapshot), serving each one as soon as it completes.
         """
-        from repro.core.recovery import recover_server, recover_server_parallel
+        from repro.core.recovery import recover_server
 
         server = self.server_by_name(name)
         if not server.machine.alive:
@@ -271,11 +270,9 @@ class LogBaseCluster:
             # Session survived the crash: just refresh the catalog handle.
             self.master.catalog.servers[name] = server
         if recover:
-            if self.config.fast_recovery:
-                return recover_server_parallel(
-                    server, self.checkpoints[name], heat=dict(self.tablet_heat)
-                )
-            return recover_server(server, self.checkpoints[name])
+            return recover_server(
+                server, self.checkpoints[name], heat=dict(self.tablet_heat)
+            )
         return None
 
     def heartbeat(self) -> dict:
@@ -302,7 +299,7 @@ class LogBaseCluster:
                 self.master.expire_server(server.name)
                 expired.append(server.name)
         # Fold live servers' access heat into the master-side snapshot
-        # (fast recovery orders a crashed server's tablet bring-up by it).
+        # (recovery orders a crashed server's tablet bring-up by it).
         for server in self.servers:
             if server.machine.alive and server.serving:
                 for tablet_id, value in server.heat.items():

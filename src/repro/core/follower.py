@@ -260,7 +260,7 @@ class LogTailer:
                 self._machine.counters.add(REPLICA_TAIL_BATCHES)
             return applied, drained
 
-    # -- replay (mirrors recovery's redo_scan) --------------------------------
+    # -- replay (mirrors recovery's redo) -------------------------------------
 
     def _consume(
         self, pointer: LogPointer, record: LogRecord, *, committed: bool

@@ -1,13 +1,17 @@
 """Failure recovery (§3.8): redo from the last consistent checkpoint.
 
-Recovery of a restarted tablet server:
+Recovery of a restarted tablet server (:func:`recover_server`):
 
-1. reload the persisted index files (if a checkpoint exists);
-2. redo-scan the log from the checkpoint position: committed writes whose
-   LSN exceeds the checkpointed LSN are re-applied to the indexes;
-   invalidated entries re-apply their deletions; writes of transactions
-   with no commit record are ignored (MVOCC defers all modifications to
-   commit time, so redo-only recovery is sufficient — no undo).
+1. read the checkpoint block (if a checkpoint exists);
+2. scan the log tail after the checkpoint position, bucketing records
+   per tablet: committed writes whose LSN exceeds the checkpointed LSN
+   are re-applied to the indexes; invalidated entries re-apply their
+   deletions; writes of transactions with no commit record are ignored
+   (MVOCC defers all modifications to commit time, so redo-only recovery
+   is sufficient — no undo);
+3. bring tablets back hottest first, each reloading its own checkpointed
+   index files and redoing its own bucket, and serve each one as soon as
+   its redo completes.
 
 Permanent failure of a server instead *splits* its log by tablet (the
 log is in the shared DFS) so healthy servers can adopt the tablets and
@@ -42,7 +46,6 @@ from repro.sim.metrics import (
     RECOVERY_WRITES_APPLIED,
     SPAN_RECOVERY_ADOPT,
     SPAN_RECOVERY_RECOVER,
-    SPAN_RECOVERY_REDO,
     SPAN_RECOVERY_TABLET,
 )
 from repro.sim.scheduler import ConcurrentScheduler, Invoke, measured
@@ -54,10 +57,9 @@ from repro.wal.repository import LogRepository
 class RecoveryReport:
     """What a recovery pass did (asserted by tests, reported by benches).
 
-    ``seconds`` is the recovery wall-clock: the machine-clock delta for
-    the sequential path, the virtual-time makespan of the worker fleet
-    for the parallel path (workers overlap, so the makespan is what a
-    client would observe as unavailability).
+    ``seconds`` is the recovery wall-clock: the virtual-time makespan of
+    the worker fleet (workers overlap, so the makespan is what a client
+    would observe as unavailability).
     """
 
     used_checkpoint: bool = False
@@ -67,8 +69,6 @@ class RecoveryReport:
     deletes_applied: int = 0
     uncommitted_ignored: int = 0
     seconds: float = 0.0
-    # -- fast-recovery extras (defaults keep the sequential path's shape) --
-    parallel: bool = False
     tablets_recovered: int = 0
     skipped: int = 0  # adoption replays deduped as already applied
     tablet_seconds: dict[str, float] = field(default_factory=dict)
@@ -84,7 +84,6 @@ class RecoveryReport:
             "deletes_applied": self.deletes_applied,
             "uncommitted_ignored": self.uncommitted_ignored,
             "seconds": self.seconds,
-            "parallel": self.parallel,
             "tablets_recovered": self.tablets_recovered,
             "skipped": self.skipped,
             "tablet_seconds": dict(self.tablet_seconds),
@@ -93,93 +92,26 @@ class RecoveryReport:
         }
 
 
-def redo_scan(
-    server: TabletServer,
-    *,
-    start: LogPointer | None = None,
-    min_lsn: int = 0,
-    repository: LogRepository | None = None,
-) -> RecoveryReport:
-    """Redo committed log records into the server's indexes.
-
-    Args:
-        server: the recovering (or adopting) server.
-        start: log position to scan from (checkpoint position); None scans
-            the whole log.
-        min_lsn: records at or below this LSN are already reflected in the
-            reloaded checkpoint and are skipped.
-        repository: log to scan; defaults to the server's own log (a
-            split-log file from a failed peer may be passed instead).
-
-    Transactional writes are buffered per transaction and applied only
-    when that transaction's COMMIT record is found; trailing uncommitted
-    writes are ignored (they will disappear at the next compaction).
-    """
-    report = RecoveryReport()
-    log = repository if repository is not None else server.log
-    pending: dict[int, list[tuple[LogPointer, LogRecord]]] = defaultdict(list)
-    tombstones: dict[tuple[str, str, bytes], int] = {}
-    max_lsn = min_lsn
-    current_segment = -1
-    with span(SPAN_RECOVERY_REDO, log.machine):
-        for pointer, record in log.scan_all(start=start):
-            if pointer.file_no != current_segment:
-                current_segment = pointer.file_no
-                crash_point(
-                    CP_RECOVERY_MID, server=server.name, segment=current_segment
-                )
-            report.records_scanned += 1
-            max_lsn = max(max_lsn, record.lsn)
-            if record.lsn <= min_lsn:
-                continue
-            if record.record_type is RecordType.WRITE:
-                if record.txn_id == 0:
-                    _apply(server, record, pointer, report, tombstones)
-                else:
-                    pending[record.txn_id].append((pointer, record))
-            elif record.record_type is RecordType.INVALIDATE:
-                if record.txn_id == 0:
-                    _apply_delete(server, record, report, tombstones)
-                else:
-                    pending[record.txn_id].append((pointer, record))
-            elif record.record_type is RecordType.COMMIT:
-                for buffered_pointer, buffered in pending.pop(record.txn_id, []):
-                    if buffered.record_type is RecordType.WRITE:
-                        _apply(server, buffered, buffered_pointer, report, tombstones)
-                    else:
-                        _apply_delete(server, buffered, report, tombstones)
-            elif record.record_type is RecordType.ABORT:
-                pending.pop(record.txn_id, None)
-    report.uncommitted_ignored = sum(len(v) for v in pending.values())
-    if log is server.log:
-        # Only a scan of the server's *own* log may move its LSN cursor:
-        # scanning a foreign repository (a dead peer's split file) says
-        # nothing about what this server has appended.
-        server.log.set_next_lsn(max_lsn + 1)
-    return report
-
-
 def _apply(
     server: TabletServer,
     record: LogRecord,
     pointer: LogPointer,
     report: RecoveryReport,
-    tombstones: dict[tuple[str, str, bytes], int] | None = None,
+    tombstones: dict[tuple[str, str, bytes], int],
 ) -> None:
     try:
         index = server.index_for(record.table, record.key, record.group)
     except TabletNotFound:
         return  # tablet now owned elsewhere
-    if tombstones is not None:
-        # Incremental compaction re-homes versions into sorted runs whose
-        # file order no longer matches timestamp order: a write can appear
-        # *after* the tombstone that shadows it (e.g. the delete marker
-        # still sits in the unsorted tail while a merge re-emitted the old
-        # version into a higher-numbered run).  Timestamps disambiguate —
-        # a version at or below a seen tombstone is dead regardless of
-        # scan order (the TSO makes any legitimate rebirth strictly newer).
-        if tombstones.get((record.table, record.group, record.key), -1) >= record.timestamp:
-            return
+    # Incremental compaction re-homes versions into sorted runs whose
+    # file order no longer matches timestamp order: a write can appear
+    # *after* the tombstone that shadows it (e.g. the delete marker still
+    # sits in the unsorted tail while a merge re-emitted the old version
+    # into a higher-numbered run).  Timestamps disambiguate — a version at
+    # or below a seen tombstone is dead regardless of scan order (the TSO
+    # makes any legitimate rebirth strictly newer).
+    if tombstones.get((record.table, record.group, record.key), -1) >= record.timestamp:
+        return
     index.insert(record.key, record.timestamp, pointer)
     report.writes_applied += 1
 
@@ -188,11 +120,10 @@ def _apply_delete(
     server: TabletServer,
     record: LogRecord,
     report: RecoveryReport,
-    tombstones: dict[tuple[str, str, bytes], int] | None = None,
+    tombstones: dict[tuple[str, str, bytes], int],
 ) -> None:
-    if tombstones is not None:
-        slot = (record.table, record.group, record.key)
-        tombstones[slot] = max(tombstones.get(slot, -1), record.timestamp)
+    slot = (record.table, record.group, record.key)
+    tombstones[slot] = max(tombstones.get(slot, -1), record.timestamp)
     try:
         index = server.index_for(record.table, record.key, record.group)
     except TabletNotFound:
@@ -207,39 +138,6 @@ def _apply_delete(
     for entry in survivors:
         index.insert(entry.key, entry.timestamp, entry.pointer)
     report.deletes_applied += 1
-
-
-def recover_server(server: TabletServer, checkpoints: CheckpointManager) -> RecoveryReport:
-    """Full restart recovery: reload checkpoint (if any) then redo the tail."""
-    start_clock = server.machine.clock.now
-    # Recovery runs with no client op open, so on a traced cluster it
-    # starts its own trace; on an untraced one the span is a no-op.
-    scope = (
-        root_span(SPAN_RECOVERY_RECOVER, server.machine, server=server.name)
-        if server.config.tracing
-        else span(SPAN_RECOVERY_RECOVER, server.machine, server=server.name)
-    )
-    with scope:
-        # Spilled (LSM) indexes can reopen their flushed runs from the
-        # manifest instead of rebuilding them from the log.
-        for index in server.indexes().values():
-            reopen = getattr(index, "reopen", None)
-            if reopen is not None:
-                reopen()
-        start: LogPointer | None = None
-        min_lsn = 0
-        used = False
-        if checkpoints.has_checkpoint():
-            block = checkpoints.load_checkpoint()
-            start = block.position
-            min_lsn = block.lsn
-            used = True
-        report = redo_scan(server, start=start, min_lsn=min_lsn)
-    report.used_checkpoint = used
-    report.checkpoint_lsn = min_lsn
-    report.seconds = server.machine.clock.now - start_clock
-    server.last_recovery = report
-    return report
 
 
 @dataclass
@@ -472,7 +370,7 @@ def adopt_split_log(
     return report
 
 
-def recover_server_parallel(
+def recover_server(
     server: TabletServer,
     checkpoints: CheckpointManager,
     *,
@@ -480,7 +378,7 @@ def recover_server_parallel(
     workers: int | None = None,
     on_tablet_ready=None,
 ) -> RecoveryReport:
-    """Fast restart recovery: partitioned redo scan, hot-first bring-up.
+    """Restart recovery: partitioned redo scan, hot-first bring-up.
 
     Two phases, each multiplexed over ``config.recovery_workers`` virtual
     clients of the :class:`~repro.sim.scheduler.ConcurrentScheduler`:
@@ -492,16 +390,16 @@ def recover_server_parallel(
        lane, not the whole log.
     2. **Hot-first bring-up** — tablets ordered by access heat (hottest
        first) are brought up concurrently: reload the tablet's checkpoint
-       index files, apply its gated records in the sequential redo's
-       order, then flip the tablet to serving immediately.  Until a
+       index files, apply its gated records in log commit order, then
+       flip the tablet to serving immediately.  Until a
        tablet's own redo completes, ops on it raise the retryable
        :class:`~repro.errors.TabletRecoveringError`.
 
     Commit gating is resolved between the phases in plain bookkeeping: a
     transactional record applies iff a COMMIT marker with a higher LSN
     exists, and records apply in ``(commit LSN, record LSN)`` order —
-    exactly the order the sequential scan applies them — so the resulting
-    index state matches :func:`recover_server` on the same log.
+    the order a single front-to-back scan would apply them — so the
+    resulting index state does not depend on the worker count.
 
     The pass is restartable: it mutates only in-memory indexes (plus the
     max-clamped LSN cursor), so a crash at :data:`CP_RECOVERY_MID` and a
@@ -518,13 +416,13 @@ def recover_server_parallel(
     start_clock = machine.clock.now
     n_workers = max(1, workers if workers is not None else server.config.recovery_workers)
     heat = heat or {}
-    report = RecoveryReport(parallel=True)
+    report = RecoveryReport()
     redo_histogram = Histogram(HIST_RECOVERY_TABLET_SECONDS)
 
     scope = (
-        root_span(SPAN_RECOVERY_RECOVER, machine, server=server.name, parallel=True)
+        root_span(SPAN_RECOVERY_RECOVER, machine, server=server.name)
         if server.config.tracing
-        else span(SPAN_RECOVERY_RECOVER, machine, server=server.name, parallel=True)
+        else span(SPAN_RECOVERY_RECOVER, machine, server=server.name)
     )
     with scope:
         server.begin_tablet_recovery(server.tablets.keys())
@@ -552,8 +450,8 @@ def recover_server_parallel(
         committed: dict[int, int] = {}  # txn id -> COMMIT marker LSN
         aborted: set[int] = set()
         # tablet id -> [(record LSN, pointer, record)]; "" collects
-        # records routing to no local tablet (owned elsewhere) so the
-        # uncommitted count still matches the sequential scan's.
+        # records routing to no local tablet (owned elsewhere) so they
+        # still count towards the uncommitted total.
         buckets: dict[str, list[tuple[int, LogPointer, LogRecord]]] = defaultdict(list)
 
         def scan_segment_fn(file_no: int):
@@ -611,9 +509,9 @@ def recover_server_parallel(
                     continue
                 commit_lsn = committed.get(record.txn_id)
                 if commit_lsn is not None and commit_lsn > lsn:
-                    # Sequential redo applies a txn's records when it
-                    # reaches the COMMIT marker: effective order is the
-                    # marker's LSN, ties broken by append order.
+                    # A txn's records take effect at its COMMIT marker:
+                    # effective order is the marker's LSN, ties broken by
+                    # append order.
                     eligible.append((commit_lsn, lsn, pointer, record))
                 elif record.txn_id not in aborted:
                     uncommitted += 1

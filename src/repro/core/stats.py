@@ -195,6 +195,7 @@ def format_stats(stats: ClusterStats, tracer=None) -> str:
         "replica.redirects",
         "replica.lag_records",
         "replica.tail_batches",
+        "replica.tail_errors",
     )
     totals = "  ".join(
         f"{name}={stats.counters.get(name, 0):,.0f}" for name in interesting

@@ -21,9 +21,11 @@ from repro.core.read_cache import ReadCache
 from repro.core.tablet import Tablet, TabletId
 from repro.dfs.filesystem import DFS
 from repro.errors import (
+    DataNodeDownError,
     DFSError,
     FollowerLaggingError,
     InvalidLogPointer,
+    NetworkPartitionError,
     ServerDownError,
     TabletMigratingError,
     TabletNotFound,
@@ -42,6 +44,7 @@ from repro.sim.metrics import (
     RECOVERY_REJECTED_OPS,
     REPLICA_READS_SERVED,
     REPLICA_REDIRECTS,
+    REPLICA_TAIL_ERRORS,
     SPAN_COMPACTION_PLAN,
     SPAN_COMPACTION_ROUND,
     SPAN_FOLLOWER_READ,
@@ -51,11 +54,7 @@ from repro.sim.metrics import (
     SPAN_TS_WRITE,
     SPAN_TS_WRITE_BATCH,
 )
-from repro.wal.compaction import (
-    CompactionJob,
-    CompactionResult,
-    IncrementalCompactionJob,
-)
+from repro.wal.compaction import CompactionResult, IncrementalCompactionJob
 from repro.wal.planner import CompactionPlanner
 from repro.wal.record import LogPointer, LogRecord, RecordType
 from repro.wal.repository import LogRepository
@@ -121,9 +120,9 @@ class TabletServer:
         self.serving = True
         # Access heat per tablet id (client-facing op counts).  Pure
         # bookkeeping — no simulated cost — so the seed figures are
-        # unaffected; fast recovery orders tablet bring-up by it.
+        # unaffected; recovery orders tablet bring-up by it.
         self.heat: dict[str, float] = {}
-        # Tablets owned but not yet redone (fast recovery's serve-while-
+        # Tablets owned but not yet redone (recovery's serve-while-
         # recovering window); ops on them raise TabletRecoveringError.
         self.recovering_tablets: set[str] = set()
         # Live-migration state (config.live_migration gate; the empty
@@ -176,7 +175,7 @@ class TabletServer:
         if not self.serving or not self.machine.alive:
             raise ServerDownError(f"tablet server {self.name} is down")
 
-    # -- fast-recovery serving state -----------------------------------------------
+    # -- recovery serving state ----------------------------------------------------
 
     def begin_tablet_recovery(self, tablet_ids) -> None:
         """Mark tablets as owned-but-recovering: ops on them are rejected
@@ -296,7 +295,17 @@ class TabletServer:
             str(f.tablet.tablet_id): f.lag(now) for f in self.followers.values()
         }
         for tailer in self._tailers.values():
-            tailer.tail(self.config.replica_tail_batch)
+            try:
+                tailer.tail(self.config.replica_tail_batch)
+            except (DataNodeDownError, NetworkPartitionError):
+                # The owner's log is unreachable right now: its replicas
+                # are lagging, not broken.  They stop serving (reads fall
+                # back to the owner) until a later pass drains the log
+                # again; the watermark and the records applied behind the
+                # tailer's cursor stay, and the next heartbeat resumes.
+                for follower in tailer.members.values():
+                    follower.caught_up_at = None
+                self.machine.counters.add(REPLICA_TAIL_ERRORS)
         return lags
 
     def _follower_for(self, table: str, key: bytes) -> FollowerTablet:
@@ -1060,12 +1069,19 @@ class TabletServer:
     # -- compaction (§3.6.5) --------------------------------------------------------------------
 
     def compact(self, *, retain_after: int | None = None) -> CompactionResult:
-        """Run log compaction and swap in the rebuilt indexes.
+        """Run one size-tiered compaction round: execute the planner's
+        per-run plans, patching only the touched (table, group) indexes
+        after each.
 
-        With ``config.incremental_compaction`` the round is split into
-        size-tiered per-run plans and only the touched (table, group)
-        indexes are swapped; otherwise the whole log is rewritten and
-        every index rebuilt (the seed behaviour).
+        Plans install one at a time (each guarded by its own
+        ``CP_COMPACTION_MID`` crash point), and the checkpoint is
+        refreshed after every install: the previous checkpoint's index
+        files point into segments the plan just retired, so it must be
+        superseded before the next plan may crash mid-round.
+
+        Records of tablets this server no longer hosts (moved away by a
+        rebalance or failover) are dropped: their new owner re-homed them
+        into its own log at adoption time.
 
         Args:
             retain_after: optional retention cutoff — historical versions
@@ -1074,57 +1090,31 @@ class TabletServer:
         """
         self._require_serving()
         with self._maint_span(SPAN_COMPACTION_ROUND):
-            if self.config.incremental_compaction:
-                return self._compact_incremental(retain_after=retain_after)
-            return self._compact_full(retain_after=retain_after)
-
-    def _compact_full(self, *, retain_after: int | None) -> CompactionResult:
-        """The seed one-shot compaction: rewrite the whole log, rebuild
-        every index (split out of :meth:`compact` for the span wrapper)."""
-        inputs = self.log.segments()
-        self.log.roll()
-
-        # Records of tablets this server no longer hosts (moved away by a
-        # rebalance or failover) are dropped: their new owner re-homed
-        # them into its own log at adoption time.
-        job = CompactionJob(
-            self.log,
-            self.config.max_versions,
-            owned=self._owned_filter(),
-            retain_after=retain_after,
-        )
-        result = job.run(inputs)
-        self._index_generation += 1
-        rebuilt: dict[IndexKey, MultiversionIndex] = {}
-        for table, group, key, timestamp, pointer in result.index_entries:
-            tablet = self._route(table, key)
-            index_key = (str(tablet.tablet_id), group)
-            index = rebuilt.get(index_key)
-            if index is None:
-                index = self._new_index(tablet.tablet_id, group)
-                rebuilt[index_key] = index
-            index.insert(key, timestamp, pointer)
-        # Tablet/group combinations with no surviving data get fresh
-        # empty indexes so lookups keep working.
-        for tablet in self.tablets.values():
-            for group in tablet.schema.group_names:
-                rebuilt.setdefault(
-                    (str(tablet.tablet_id), group), self._new_index(tablet.tablet_id, group)
-                )
-        # Spilled (LSM) indexes leave run files behind; destroy the old
-        # generation's files before swapping in the rebuilt indexes.
-        for index in self._indexes.values():
-            destroy = getattr(index, "destroy", None)
-            if destroy is not None:
-                destroy()
-        self._indexes = rebuilt
-        # Any earlier checkpoint points into the segments just retired, so
-        # it must be superseded before the old segments are truly "safely
-        # discarded" (§3.6.5): write a fresh checkpoint over the rebuilt
-        # indexes.
-        if self._checkpoint_hook is not None:
-            self._checkpoint_hook(self)
-        return result
+            inputs = self.log.segments()
+            self.log.roll()
+            planner = CompactionPlanner(
+                self.log,
+                tier_fanout=self.config.compaction_tier_fanout,
+                max_input_bytes=self.config.compaction_max_input_bytes,
+            )
+            plans = planner.plan(inputs)
+            owned = self._owned_filter()
+            combined = CompactionResult()
+            for plan in plans:
+                with span(SPAN_COMPACTION_PLAN, self.machine, kind=plan.kind):
+                    job = IncrementalCompactionJob(
+                        self.log,
+                        plan,
+                        self.config.max_versions,
+                        owned=owned,
+                        retain_after=retain_after,
+                    )
+                    result = job.run()
+                    self._patch_indexes(result)
+                    if self._checkpoint_hook is not None:
+                        self._checkpoint_hook(self)
+                    combined.merge(result)
+            return combined
 
     def _owned_filter(self):
         """``(table, key) -> bool`` over the tablets this server hosts."""
@@ -1136,42 +1126,6 @@ class TabletServer:
             )
 
         return owned
-
-    def _compact_incremental(self, *, retain_after: int | None) -> CompactionResult:
-        """Size-tiered compaction: execute the planner's per-run plans,
-        patching only the touched (table, group) indexes after each.
-
-        Plans install one at a time (each guarded by its own
-        ``CP_COMPACTION_MID`` crash point), and the checkpoint is
-        refreshed after every install: the previous checkpoint's index
-        files point into segments the plan just retired, so it must be
-        superseded before the next plan may crash mid-round.
-        """
-        inputs = self.log.segments()
-        self.log.roll()
-        planner = CompactionPlanner(
-            self.log,
-            tier_fanout=self.config.compaction_tier_fanout,
-            max_input_bytes=self.config.compaction_max_input_bytes,
-        )
-        plans = planner.plan(inputs)
-        owned = self._owned_filter()
-        combined = CompactionResult()
-        for plan in plans:
-            with span(SPAN_COMPACTION_PLAN, self.machine, kind=plan.kind):
-                job = IncrementalCompactionJob(
-                    self.log,
-                    plan,
-                    self.config.max_versions,
-                    owned=owned,
-                    retain_after=retain_after,
-                )
-                result = job.run()
-                self._patch_indexes(result)
-                if self._checkpoint_hook is not None:
-                    self._checkpoint_hook(self)
-                combined.merge(result)
-        return combined
 
     def _patch_indexes(self, result: CompactionResult) -> None:
         """Swap fresh indexes in for only the scopes one plan touched.

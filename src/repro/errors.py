@@ -192,7 +192,7 @@ class ServerOverloadedError(ClusterError):
 
 class TabletRecoveringError(ClusterError):
     """The addressed tablet is owned by this server but its redo has not
-    finished yet (fast recovery serves tablets as each one's replay
+    finished yet (recovery serves tablets as each one's replay
     completes).  Retryable: the client's existing backoff covers the
     remaining recovery window."""
 

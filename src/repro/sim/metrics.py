@@ -139,7 +139,6 @@ SPAN_DFS_HEDGE_LOSER = REGISTRY.register("dfs.hedge.loser")
 SPAN_COMPACTION_ROUND = REGISTRY.register("compaction.round")
 SPAN_COMPACTION_PLAN = REGISTRY.register("compaction.plan")
 SPAN_RECOVERY_RECOVER = REGISTRY.register("recovery.recover")
-SPAN_RECOVERY_REDO = REGISTRY.register("recovery.redo")
 SPAN_RECOVERY_ADOPT = REGISTRY.register("recovery.adopt")
 
 # Canonical histogram names (PR 5).  The tracer records one latency
@@ -163,8 +162,8 @@ SPAN_COMMIT_FLUSH = REGISTRY.register("commit.flush")
 HIST_COMMIT_LATENCY = REGISTRY.register("latency.commit")
 HIST_COMMIT_FANIN = REGISTRY.register("commit.fanin")
 
-# Canonical names for fast parallel recovery (PR 8).
-# ``recovery.parallel_runs`` counts parallel recovery passes,
+# Canonical names for parallel recovery (PR 8).
+# ``recovery.parallel_runs`` counts restart recovery passes,
 # ``recovery.tablets_recovered`` counts tablets flipped back to serving,
 # ``recovery.rejected_ops`` counts client ops bounced off still-recovering
 # tablets with TabletRecoveringError, ``recovery.splits_persisted`` counts
@@ -210,13 +209,16 @@ HIST_MIGRATION_FLIP = REGISTRY.register("latency.migration.flip")
 # needed segment was retired by compaction), ``replica.lag_records``
 # accumulates records applied by follower tails (the shipped volume),
 # ``replica.tail_batches`` counts tail passes that applied at least one
-# record, and ``latency.replica.lag`` is the per-heartbeat distribution
+# record, ``replica.tail_errors`` counts tail passes cut short because
+# the owner's log was unreachable (the replica lags and the next
+# heartbeat retries), and ``latency.replica.lag`` is the per-heartbeat distribution
 # of follower staleness in simulated seconds (owner last-commit time
 # minus follower watermark).
 REPLICA_READS_SERVED = REGISTRY.register("replica.reads_served")
 REPLICA_REDIRECTS = REGISTRY.register("replica.redirects")
 REPLICA_LAG_RECORDS = REGISTRY.register("replica.lag_records")
 REPLICA_TAIL_BATCHES = REGISTRY.register("replica.tail_batches")
+REPLICA_TAIL_ERRORS = REGISTRY.register("replica.tail_errors")
 SPAN_FOLLOWER_TAIL = REGISTRY.register("follower.tail")
 SPAN_FOLLOWER_READ = REGISTRY.register("follower.read")
 HIST_REPLICA_LAG = REGISTRY.register("latency.replica.lag")

@@ -68,7 +68,7 @@ def measured(machine, fn: Callable[[float], Any]) -> Callable[[float], tuple[Any
     accumulate resource-time, so the virtual duration of one step is the
     machine-clock delta around it: ``fn(now)`` runs the operation against
     the cluster and ``measured`` returns ``(result, clock delta)``.  The
-    fast-recovery workers use this to charge each redo slice to its
+    recovery workers use this to charge each redo slice to its
     worker's virtual timeline.
     """
 

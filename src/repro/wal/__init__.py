@@ -11,11 +11,7 @@ Compaction (§3.6.5) rewrites the log into segments sorted by
 from repro.wal.record import LogRecord, LogPointer, RecordType
 from repro.wal.segment import LogSegmentWriter, LogSegmentReader
 from repro.wal.repository import LogRepository
-from repro.wal.compaction import (
-    CompactionJob,
-    CompactionResult,
-    IncrementalCompactionJob,
-)
+from repro.wal.compaction import CompactionResult, IncrementalCompactionJob
 from repro.wal.planner import CompactionPlan, CompactionPlanner
 from repro.wal.archive import ArchiveReport, ColdStorage, LogArchiver
 
@@ -26,7 +22,6 @@ __all__ = [
     "LogSegmentWriter",
     "LogSegmentReader",
     "LogRepository",
-    "CompactionJob",
     "CompactionResult",
     "IncrementalCompactionJob",
     "CompactionPlan",

@@ -1,10 +1,10 @@
 """Size-tiered compaction planning (§3.6.5, incremental flavour).
 
-The monolithic job re-reads and rewrites *every* segment — including the
-sorted runs earlier compactions already produced — so steady-state write
-amplification grows with log age.  The planner splits one compaction round
-into independent per-run plans instead, following standard size-tiered
-LSM practice:
+A compaction that re-read and rewrote *every* segment — including the
+sorted runs earlier compactions already produced — would make steady-state
+write amplification grow with log age.  The planner splits one compaction
+round into independent per-run plans instead, following standard
+size-tiered LSM practice:
 
 * **tail plans** — unsorted tail segments are always eligible: they hold
   uncommitted garbage and unclustered data, and vacuuming them is the

@@ -57,3 +57,9 @@ def test_deterministic_given_seed():
 def test_theta_one_is_clamped_not_crashing():
     gen = ZipfianGenerator(100, theta=1.0)
     assert 0 <= gen.next() < 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 600, 1000, 1024, 4096])
+def test_scramble_reaches_every_key(n):
+    gen = ZipfianGenerator(n, seed=6)
+    assert sorted(gen.key_for_rank(rank) for rank in range(n)) == list(range(n))

@@ -4,6 +4,7 @@ contract, and must actually disrupt the cluster while doing so."""
 import pytest
 
 from repro.chaos import SCHEDULES, run_chaos
+from repro.config import LogBaseConfig
 
 
 def test_covers_required_failure_modes():
@@ -38,6 +39,28 @@ def test_schedule_upholds_durability_contract(scenario, seed):
         + len(report.restarted_servers)
     )
     assert disruption > 0, f"{scenario} caused no disruption"
+
+
+@pytest.mark.parametrize(
+    ("scenario", "seed"),
+    [
+        ("partition-heal", 1),
+        ("partition-heal", 2),
+        ("partition-heal", 3),
+        ("kill-revive-readopt", 1),
+    ],
+)
+def test_schedule_with_read_replicas_keeps_the_heartbeat_alive(scenario, seed):
+    """Followers tail their owners' logs on every heartbeat.  While a
+    partition or a dead node leaves an owner's log unreachable, the
+    follower must lag instead of raising out of the heartbeat, and a
+    lagging follower must not serve reads the owner has since acked."""
+    config = LogBaseConfig.with_fault_tolerance(
+        segment_size=64 * 1024, read_replicas=True, live_migration=True
+    )
+    report = run_chaos(scenario, seed=seed, config=config)
+    assert report.passed, report.violations
+    assert report.acked > 0
 
 
 def test_unknown_scenario_raises():

@@ -16,7 +16,8 @@ import pytest
 from repro import LogBase, LogBaseConfig
 from repro.chaos.replica import StalenessChecker
 from repro.chaos.oracle import encode_value
-from repro.errors import FollowerLaggingError
+from repro.errors import DataNodeDownError, FollowerLaggingError
+from repro.sim.metrics import REPLICA_TAIL_ERRORS
 
 TABLE = "events"
 GROUP = "payload"
@@ -311,6 +312,34 @@ def test_heartbeat_reports_replica_lag(rep_db):
     tablet_id, _, _ = _the_follower(db)
     assert tablet_id in tick["replica_lags"]
     assert tick["replica_lags"][tablet_id] >= 0.0
+
+
+def test_unreachable_owner_log_lags_the_follower(rep_db, monkeypatch):
+    """A tail pass whose source replicas are unreachable must not escape
+    the heartbeat: the replica counts the error, keeps its watermark,
+    stops serving until a pass drains again, and resumes afterwards."""
+    db, keys, _ = rep_db
+    _, server, follower = _the_follower(db)
+    tailer = server._tailers[SOURCE]
+    client = db.client(db.cluster.machines[-1])
+    client.put_raw(TABLE, keys[0], GROUP, encode_value(999))
+    watermark = follower.watermark
+
+    def unreachable(*args, **kwargs):
+        raise DataNodeDownError("all replicas of the owner's block are down")
+
+    monkeypatch.setattr(tailer.repo, "scan_segment", unreachable)
+    db.cluster.heartbeat()
+    assert server.machine.counters.get(REPLICA_TAIL_ERRORS) == 1
+    assert follower.watermark == watermark
+    with pytest.raises(FollowerLaggingError):
+        server.follower_read(TABLE, keys[0], GROUP)
+    # Clients fall back to the owner and still read their own write.
+    assert client.get_raw(TABLE, keys[0], GROUP) == encode_value(999)
+    monkeypatch.undo()
+    db.cluster.heartbeat()
+    assert follower.watermark > watermark
+    assert server.follower_read(TABLE, keys[0], GROUP)[1] == encode_value(999)
 
 
 def test_gate_off_places_nothing(schema):

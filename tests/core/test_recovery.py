@@ -7,7 +7,7 @@ from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService
 from repro.core.checkpoint import CheckpointManager
 from repro.core.partition import KeyRange
-from repro.core.recovery import recover_server, redo_scan
+from repro.core.recovery import recover_server
 from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import TabletServer
 from repro.wal.record import LogRecord, RecordType, commit_record
@@ -150,15 +150,21 @@ def test_writes_after_recovery_work(dfs, machines, schema, tso):
 
 
 def test_redo_scan_respects_min_lsn(dfs, machines, schema, tso):
+    """Records at or below the checkpointed LSN are already in the
+    reloaded indexes: the redo skips them and applies only the rest."""
     server = make_server(dfs, machines[0], schema, tso)
+    manager = CheckpointManager(dfs, server)
     for i in range(4):
         server.write("events", f"k{i}".encode(), {"payload": b"v"})
     cutoff = server.log.next_lsn - 1
+    manager.write_checkpoint()
     server.write("events", b"late", {"payload": b"v"})
     crash_and_restart(server, schema)
-    report = redo_scan(server, min_lsn=cutoff)
+    report = recover_server(server, manager)
+    assert report.checkpoint_lsn == cutoff
     assert report.writes_applied == 1
     assert server.read("events", b"late", "payload") is not None
+    assert server.read("events", b"k2", "payload") is not None
 
 
 def test_recovery_time_grows_with_unscanned_log(dfs, machines, schema, tso):

@@ -1,5 +1,5 @@
-"""Fast recovery: parallel redo parity, hot-first bring-up, serve-while-
-recovering, crash-safe split/adopt, and the fast_recovery config gate."""
+"""Restart recovery: worker-count parity, hot-first bring-up, serve-while-
+recovering, and crash-safe split/adopt."""
 
 import pytest
 
@@ -13,8 +13,6 @@ from repro.core.recovery import (
     adopt_split_log,
     read_split_fence,
     recover_server,
-    recover_server_parallel,
-    redo_scan,
     split_log_by_tablet,
 )
 from repro.core.schema import ColumnGroup, TableSchema
@@ -46,10 +44,9 @@ def tso():
     return TimestampOracle(CoordinationService())
 
 
-def make_db(*, fast: bool, workers: int = 4) -> LogBase:
+def make_db(*, workers: int = 4) -> LogBase:
     config = LogBaseConfig(
         segment_size=16 * 1024,
-        fast_recovery=fast,
         recovery_workers=workers,
         client_retry_limit=3,
     )
@@ -65,13 +62,16 @@ def make_db(*, fast: bool, workers: int = 4) -> LogBase:
 
 
 def load(db: LogBase, n: int, *, checkpoint_at: int | None = None):
+    """Write ``n`` keys; returns the key -> value model of what was loaded."""
     client = db.client(db.cluster.machines[-1])
-    keys = [str(i * 7 % 1000).zfill(4).encode() for i in range(n)]
-    for i, key in enumerate(keys):
-        client.put_raw(TABLE, key, GROUP, f"v{i}".encode())
+    model = {}
+    for i in range(n):
+        key = str(i * 7 % 1000).zfill(4).encode()
+        model[key] = f"v{i}".encode()
+        client.put_raw(TABLE, key, GROUP, model[key])
         if checkpoint_at is not None and i == checkpoint_at:
             db.cluster.checkpoints[SERVER].write_checkpoint()
-    return keys
+    return model
 
 
 def crash_and_recover(db: LogBase):
@@ -84,14 +84,7 @@ def readback(db: LogBase, keys):
     return {key: client.get_raw(TABLE, key, GROUP) for key in keys}
 
 
-# -- config gate ---------------------------------------------------------------
-
-
-def test_gate_defaults_off_and_preset_turns_on():
-    assert LogBaseConfig().fast_recovery is False
-    config = LogBaseConfig.with_fast_recovery()
-    assert config.fast_recovery is True
-    config.validate()
+# -- config --------------------------------------------------------------------
 
 
 def test_validate_rejects_bad_worker_count():
@@ -99,17 +92,18 @@ def test_validate_rejects_bad_worker_count():
         LogBaseConfig(recovery_workers=0).validate()
 
 
-# -- parity with the sequential path -------------------------------------------
+# -- parity across worker counts -----------------------------------------------
 
 
 @pytest.mark.parametrize("checkpoint_at", [None, 60])
 def test_parallel_recovery_matches_sequential(checkpoint_at):
-    db_seq, db_par = make_db(fast=False), make_db(fast=True)
-    keys = load(db_seq, 120, checkpoint_at=checkpoint_at)
-    assert load(db_par, 120, checkpoint_at=checkpoint_at) == keys
+    """One worker redoes every tablet in turn; four overlap them.  Both
+    must rebuild the same state: the loaded model, and equal counts."""
+    db_seq, db_par = make_db(workers=1), make_db(workers=4)
+    model = load(db_seq, 120, checkpoint_at=checkpoint_at)
+    assert load(db_par, 120, checkpoint_at=checkpoint_at) == model
     seq = crash_and_recover(db_seq)
     par = crash_and_recover(db_par)
-    assert not seq.parallel and par.parallel
     assert par.used_checkpoint == seq.used_checkpoint == (checkpoint_at is not None)
     for field in (
         "records_scanned",
@@ -118,12 +112,12 @@ def test_parallel_recovery_matches_sequential(checkpoint_at):
         "uncommitted_ignored",
     ):
         assert getattr(par, field) == getattr(seq, field), field
-    assert readback(db_par, keys) == readback(db_seq, keys)
+    assert readback(db_seq, model) == model
+    assert readback(db_par, model) == model
 
 
 def test_parallel_gating_ignores_uncommitted_and_applies_committed(tso, dfs, machines):
-    config = LogBaseConfig(fast_recovery=True)
-    server = TabletServer(SERVER, machines[0], dfs, tso, config)
+    server = TabletServer(SERVER, machines[0], dfs, tso, LogBaseConfig())
     server.assign_tablet(Tablet(TabletId(TABLE, 0), KeyRange(b"", None), SCHEMA))
     manager = CheckpointManager(dfs, server)
 
@@ -142,8 +136,7 @@ def test_parallel_gating_ignores_uncommitted_and_applies_committed(tso, dfs, mac
     server.crash()
     server.restart()
     server.assign_tablet(Tablet(TabletId(TABLE, 0), KeyRange(b"", None), SCHEMA))
-    report = recover_server_parallel(server, manager)
-    assert report.parallel
+    report = recover_server(server, manager)
     assert report.writes_applied == 1
     assert report.uncommitted_ignored == 1
     assert server.read(TABLE, b"ok", GROUP)[1] == b"committed"
@@ -156,8 +149,8 @@ def test_parallel_gating_ignores_uncommitted_and_applies_committed(tso, dfs, mac
 def test_hot_tablets_come_up_first():
     # One worker makes the bring-up order strictly the heat order; the
     # checkpoint gives every tablet a real (DFS index load) bring-up cost.
-    db = make_db(fast=True, workers=1)
-    keys = load(db, 120, checkpoint_at=60)
+    db = make_db(workers=1)
+    keys = list(load(db, 120, checkpoint_at=60))
     client = db.client(db.cluster.machines[-1])
     hot_key = keys[0]
     for _ in range(200):
@@ -173,7 +166,7 @@ def test_hot_tablets_come_up_first():
 
 
 def test_ready_tablets_serve_while_others_recover():
-    db = make_db(fast=True, workers=1)
+    db = make_db(workers=1)
     keys = load(db, 80)
     server = db.cluster.server_by_name(SERVER)
     snapshots = []
@@ -183,9 +176,7 @@ def test_ready_tablets_serve_while_others_recover():
 
     db.cluster.kill_node(SERVER)
     db.cluster.restart_server(SERVER, recover=False)
-    recover_server_parallel(
-        server, db.cluster.checkpoints[SERVER], on_tablet_ready=on_ready
-    )
+    recover_server(server, db.cluster.checkpoints[SERVER], on_tablet_ready=on_ready)
     assert len(snapshots) == 4
     first_ready, still_recovering = snapshots[0]
     assert first_ready not in still_recovering
@@ -195,8 +186,8 @@ def test_ready_tablets_serve_while_others_recover():
 
 
 def test_ops_on_recovering_tablet_raise_retryable_error():
-    db = make_db(fast=True)
-    keys = load(db, 40)
+    db = make_db()
+    keys = list(load(db, 40))
     server = db.cluster.server_by_name(SERVER)
     server.begin_tablet_recovery(server.tablets.keys())
     with pytest.raises(TabletRecoveringError):
@@ -214,8 +205,8 @@ def test_ops_on_recovering_tablet_raise_retryable_error():
 
 
 def test_client_retry_covers_recovery_window():
-    db = make_db(fast=True)
-    keys = load(db, 40)
+    db = make_db()
+    keys = list(load(db, 40))
     server = db.cluster.server_by_name(SERVER)
     server.begin_tablet_recovery(server.tablets.keys())
     client = db.client(db.cluster.machines[-1])
@@ -241,9 +232,8 @@ def test_client_retry_covers_recovery_window():
 
 
 def test_crash_mid_parallel_recovery_then_rerun_converges():
-    db = make_db(fast=True)
-    keys = load(db, 120, checkpoint_at=60)
-    expected = readback(db, keys)
+    db = make_db()
+    expected = load(db, 120, checkpoint_at=60)
     db.cluster.kill_node(SERVER)
     plan = FaultPlan()
     plan.add(
@@ -257,8 +247,9 @@ def test_crash_mid_parallel_recovery_then_rerun_converges():
             db.cluster.restart_server(SERVER)
         report = db.cluster.restart_server(SERVER)
     assert len(plan.fired) == 1
-    assert report.parallel and not db.cluster.server_by_name(SERVER).recovering_tablets
-    assert readback(db, keys) == expected
+    assert report.tablets_recovered == 4
+    assert not db.cluster.server_by_name(SERVER).recovering_tablets
+    assert readback(db, expected) == expected
 
 
 def test_split_persist_is_atomic_under_crash(tso, dfs, machines):
@@ -329,21 +320,7 @@ def test_adopting_twice_never_double_appends(tso, dfs, machines):
         assert len(index.versions(key)) == 1  # one version, not two
 
 
-# -- the foreign-repository LSN satellite --------------------------------------
-
-
-def test_redo_scan_of_foreign_repository_leaves_lsn_cursor(tso, dfs, machines):
-    source = TabletServer("ts-a", machines[0], dfs, tso, LogBaseConfig())
-    tablet = Tablet(TabletId(TABLE, 0), KeyRange(b"", None), SCHEMA)
-    source.assign_tablet(tablet)
-    for i in range(8):
-        source.write(TABLE, f"k{i}".encode(), {GROUP: b"x"})
-    reader = TabletServer("ts-b", machines[1], dfs, tso, LogBaseConfig())
-    reader.assign_tablet(tablet)
-    before = reader.log.next_lsn
-    report = redo_scan(reader, repository=source.log)
-    assert report.writes_applied == 8
-    assert reader.log.next_lsn == before  # foreign scan must not move it
+# -- LSN cursor ----------------------------------------------------------------
 
 
 def test_redo_scan_of_own_log_still_restores_lsn(tso, dfs, machines):
@@ -355,7 +332,7 @@ def test_redo_scan_of_own_log_still_restores_lsn(tso, dfs, machines):
     server.crash()
     server.restart()
     server.assign_tablet(Tablet(TabletId(TABLE, 0), KeyRange(b"", None), SCHEMA))
-    redo_scan(server)
+    recover_server(server, CheckpointManager(dfs, server))
     assert server.log.next_lsn >= lsn_before
 
 
@@ -365,13 +342,12 @@ def test_redo_scan_of_own_log_still_restores_lsn(tso, dfs, machines):
 def test_recovery_surfaces_in_stats():
     from repro.core.stats import collect_server_stats
 
-    db = make_db(fast=True)
-    keys = load(db, 40)
+    db = make_db()
+    keys = list(load(db, 40))
     crash_and_recover(db)
     stats = collect_server_stats(db.cluster.server_by_name(SERVER))
     assert stats.recovering_tablets == 0
     assert stats.last_recovery is not None
-    assert stats.last_recovery["parallel"] is True
     assert stats.last_recovery["tablets_recovered"] == 4
     assert stats.counters.get("recovery.parallel_runs") == 1
     assert stats.counters.get("recovery.tablets_recovered") == 4

@@ -1,8 +1,11 @@
-"""Unit tests for log compaction (§3.6.5)."""
+"""Unit tests for log compaction (§3.6.5): the planner's tail plan run by
+:class:`IncrementalCompactionJob`.  On a log with no sorted runs yet the
+tail plan covers every segment, so it is the whole-log vacuum/sort job."""
 
 import pytest
 
-from repro.wal.compaction import CompactionJob
+from repro.wal.compaction import IncrementalCompactionJob
+from repro.wal.planner import CompactionPlanner
 from repro.wal.record import LogRecord, RecordType, commit_record
 from repro.wal.repository import LogRepository
 
@@ -37,10 +40,17 @@ def repo(dfs, machines):
     return LogRepository(dfs, machines[0], "/logbase/ts-0/log", segment_size=1 << 20)
 
 
+def compact(repo, segments=None, **knobs):
+    """Run the planner's tail plan over ``segments`` (default: all)."""
+    plans = CompactionPlanner(repo).plan(segments)
+    (tail,) = [plan for plan in plans if plan.kind == "tail"]
+    return IncrementalCompactionJob(repo, tail, **knobs).run()
+
+
 def test_output_sorted_by_key_then_timestamp(repo):
     for key, ts in ((b"b", 2), (b"a", 3), (b"b", 1), (b"a", 1)):
         repo.append(write(key, ts, b"v"))
-    result = CompactionJob(repo).run()
+    result = compact(repo)
     order = [(key, ts) for _, _, key, ts, _ in result.index_entries]
     assert order == [(b"a", 1), (b"a", 3), (b"b", 1), (b"b", 2)]
 
@@ -48,14 +58,14 @@ def test_output_sorted_by_key_then_timestamp(repo):
 def test_all_versions_kept_by_default(repo):
     for ts in range(1, 6):
         repo.append(write(b"k", ts, b"v%d" % ts))
-    result = CompactionJob(repo).run()
+    result = compact(repo)
     assert result.stats.kept_versions == 5
 
 
 def test_max_versions_drops_oldest(repo):
     for ts in range(1, 6):
         repo.append(write(b"k", ts, b"v%d" % ts))
-    result = CompactionJob(repo, max_versions=2).run()
+    result = compact(repo, max_versions=2)
     kept_ts = [ts for _, _, _, ts, _ in result.index_entries]
     assert kept_ts == [4, 5]
     assert result.stats.dropped_obsolete == 3
@@ -65,7 +75,7 @@ def test_deleted_records_removed(repo):
     repo.append(write(b"k", 1, b"old"))
     repo.append(write(b"k", 2, b"newer"))
     repo.append(delete(b"k", 3))
-    result = CompactionJob(repo).run()
+    result = compact(repo)
     assert result.stats.kept_versions == 0
     assert result.stats.dropped_deleted == 2
 
@@ -74,7 +84,7 @@ def test_write_after_delete_survives(repo):
     repo.append(write(b"k", 1, b"old"))
     repo.append(delete(b"k", 2))
     repo.append(write(b"k", 3, b"reborn"))
-    result = CompactionJob(repo).run()
+    result = compact(repo)
     kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
     assert kept == [(b"k", 3)]
 
@@ -83,7 +93,7 @@ def test_uncommitted_transactional_writes_dropped(repo):
     repo.append(write(b"a", 1, b"committed", txn=10))
     repo.append(commit_record(10, 1))
     repo.append(write(b"b", 2, b"uncommitted", txn=11))  # no commit record
-    result = CompactionJob(repo).run()
+    result = compact(repo)
     keys = [key for _, _, key, _, _ in result.index_entries]
     assert keys == [b"a"]
     assert result.stats.dropped_uncommitted == 1
@@ -92,7 +102,7 @@ def test_uncommitted_transactional_writes_dropped(repo):
 def test_sorted_segments_are_slim_and_grouped(repo):
     repo.append(write(b"k1", 1, b"v", group="g1"))
     repo.append(write(b"k2", 2, b"v", group="g2"))
-    result = CompactionJob(repo).run()
+    result = compact(repo)
     assert len(result.new_segments) == 2  # one per (table, group)
     for file_no in result.new_segments:
         assert repo.is_sorted_segment(file_no)
@@ -102,7 +112,7 @@ def test_old_segments_retired(repo):
     repo.append(write(b"k", 1, b"v"))
     old_segments = repo.segments()
     repo.roll()
-    result = CompactionJob(repo).run(old_segments)
+    result = compact(repo, old_segments)
     assert result.retired_segments == old_segments
     for file_no in old_segments:
         assert file_no not in repo.segments()
@@ -110,7 +120,7 @@ def test_old_segments_retired(repo):
 
 def test_pointers_into_sorted_segments_resolve(repo):
     repo.append(write(b"k", 5, b"payload"))
-    result = CompactionJob(repo).run()
+    result = compact(repo)
     _, _, key, ts, pointer = result.index_entries[0]
     record = repo.read(pointer)
     assert record.key == key
@@ -125,22 +135,28 @@ def test_compaction_reduces_storage(repo):
         repo.append(write(b"hot", ts, b"x" * 200))
     before = repo.total_bytes()
     repo.roll()
-    CompactionJob(repo, max_versions=1).run()
+    compact(repo, max_versions=1)
     assert repo.total_bytes() < before
 
 
 def test_recompaction_of_sorted_segments(repo):
     repo.append(write(b"a", 1, b"v1"))
-    CompactionJob(repo).run()
+    compact(repo)
     repo.append(write(b"a", 2, b"v2"))
-    result = CompactionJob(repo).run()
+    compact(repo)
+    # Two similar-sized runs of one scope fill a fanout-2 tier.
+    plans = CompactionPlanner(repo, tier_fanout=2).plan()
+    (merge,) = [plan for plan in plans if plan.kind == "merge"]
+    result = IncrementalCompactionJob(repo, merge).run()
     kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
     assert kept == [(b"a", 1), (b"a", 2)]
 
 
 def test_rejects_bad_max_versions(repo):
+    repo.append(write(b"k", 1, b"v"))
+    (tail,) = CompactionPlanner(repo).plan()
     with pytest.raises(ValueError):
-        CompactionJob(repo, max_versions=0)
+        IncrementalCompactionJob(repo, tail, max_versions=0)
 
 
 def test_compacted_txn_writes_become_auto_committed(repo):
@@ -150,7 +166,7 @@ def test_compacted_txn_writes_become_auto_committed(repo):
     them."""
     repo.append(write(b"k", 1, b"txn-value", txn=42))
     repo.append(commit_record(42, 1))
-    CompactionJob(repo).run()
+    compact(repo)
     survivors = [
         record
         for file_no in repo.segments()
@@ -165,8 +181,7 @@ def test_compacted_txn_writes_become_auto_committed(repo):
 def test_unowned_records_dropped_with_filter(repo):
     repo.append(write(b"mine", 1, b"keep"))
     repo.append(write(b"theirs", 2, b"drop"))
-    job = CompactionJob(repo, owned=lambda table, key: key == b"mine")
-    result = job.run()
+    result = compact(repo, owned=lambda table, key: key == b"mine")
     kept = [key for _, _, key, _, _ in result.index_entries]
     assert kept == [b"mine"]
     assert result.stats.dropped_unowned == 1
@@ -175,7 +190,7 @@ def test_unowned_records_dropped_with_filter(repo):
 def test_retain_after_expires_old_history_keeps_latest(repo):
     for ts in range(1, 7):
         repo.append(write(b"k", ts, b"v%d" % ts))
-    result = CompactionJob(repo, retain_after=4).run()
+    result = compact(repo, retain_after=4)
     kept_ts = [ts for _, _, _, ts, _ in result.index_entries]
     assert kept_ts == [4, 5, 6]
     assert result.stats.dropped_obsolete == 3
@@ -183,7 +198,7 @@ def test_retain_after_expires_old_history_keeps_latest(repo):
 
 def test_retain_after_never_drops_only_version(repo):
     repo.append(write(b"ancient", 1, b"only"))
-    result = CompactionJob(repo, retain_after=100).run()
+    result = compact(repo, retain_after=100)
     kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
     assert kept == [(b"ancient", 1)]
 
@@ -191,6 +206,6 @@ def test_retain_after_never_drops_only_version(repo):
 def test_retain_after_composes_with_max_versions(repo):
     for ts in range(1, 9):
         repo.append(write(b"k", ts, b"v"))
-    result = CompactionJob(repo, max_versions=2, retain_after=3).run()
+    result = compact(repo, max_versions=2, retain_after=3)
     kept_ts = [ts for _, _, _, ts, _ in result.index_entries]
     assert kept_ts == [7, 8]

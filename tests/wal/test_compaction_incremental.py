@@ -9,7 +9,7 @@ from repro.sim.failure import (
     fault_plan,
     kill_action,
 )
-from repro.wal.compaction import CompactionJob, IncrementalCompactionJob
+from repro.wal.compaction import IncrementalCompactionJob
 from repro.wal.planner import CompactionPlan, CompactionPlanner
 from repro.wal.record import LogRecord, RecordType, abort_record, commit_record
 from repro.wal.repository import LogRepository
@@ -83,6 +83,8 @@ def visible_versions(repo):
 
 
 def test_tail_plan_matches_monolithic_semantics(repo):
+    """A tail plan over the whole log is a full §3.6.5 compaction: sorted
+    output, uncommitted writes dropped, survivors auto-committed."""
     for key, ts in ((b"b", 2), (b"a", 3), (b"b", 1), (b"a", 1)):
         repo.append(write(key, ts, b"v"))
     repo.append(write(b"c", 4, b"txn", txn=9))
@@ -110,9 +112,9 @@ def test_tail_plan_drops_covered_deletes(repo):
 
 
 def test_tail_plan_carries_tombstone_when_not_covered(repo):
-    # Sorted run holding the victim, written by an earlier full round.
+    # Sorted run holding the victim, written by an earlier round.
     repo.append(write(b"k", 1, b"victim"))
-    CompactionJob(repo).run()
+    run_plans(repo)
     run = repo.segments()[0]
     # New tail deletes it; the tail plan must not touch the sorted run
     # (below fanout), so the tombstone has to ride along.
@@ -126,7 +128,7 @@ def test_tail_plan_carries_tombstone_when_not_covered(repo):
 
 def test_carried_tombstone_spares_newer_write(repo):
     repo.append(write(b"k", 1, b"old"))
-    CompactionJob(repo).run()
+    run_plans(repo)
     repo.append(delete(b"k", 3))
     repo.append(write(b"k", 7, b"reborn"))
     repo.roll()
@@ -136,7 +138,7 @@ def test_carried_tombstone_spares_newer_write(repo):
 
 def test_tail_plan_leaves_sorted_runs_alone(repo):
     repo.append(write(b"a", 1, b"v"))
-    CompactionJob(repo).run()
+    run_plans(repo)
     runs = list(repo.segments())
     repo.append(write(b"b", 2, b"v"))
     repo.roll()
@@ -240,7 +242,7 @@ def test_merge_dedupes_same_key_timestamp_across_runs(repo):
 def test_merge_applies_carried_tombstones(repo):
     # Run 1 holds the data; run 2 holds a carried tombstone + newer write.
     repo.append(write(b"k", 1, b"old"))
-    CompactionJob(repo).run()
+    run_plans(repo)
     repo.append(delete(b"k", 3))
     repo.append(write(b"k", 8, b"new"))
     repo.roll()
@@ -258,7 +260,7 @@ def test_merge_applies_carried_tombstones(repo):
 
 def test_merge_keeps_tombstone_while_uncovered(repo):
     repo.append(write(b"k", 1, b"v"))
-    CompactionJob(repo).run()  # run A: k@1
+    run_plans(repo)  # run A: k@1
     repo.append(delete(b"k", 3))
     repo.roll()
     run_plans(repo, tier_fanout=4)  # tail plan carries the tombstone: run B
@@ -274,9 +276,10 @@ def test_merge_keeps_tombstone_while_uncovered(repo):
     assert ("t", "g", b"k") not in visible_versions(repo)
 
 
-def test_incremental_rounds_converge_with_monolithic(repo):
+def test_incremental_rounds_converge_with_model(repo):
     """Several churn rounds of incremental compaction leave exactly the
-    data a monolithic compaction of the same history would."""
+    versions a model of the write history keeps: every write not
+    shadowed by a later delete."""
     expected: dict[bytes, set[int]] = {}
     ts = 0
     for round_no in range(5):

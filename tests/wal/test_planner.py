@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.wal.compaction import CompactionJob
+from repro.wal.compaction import IncrementalCompactionJob
 from repro.wal.planner import CompactionPlanner
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
@@ -128,9 +128,11 @@ def test_merge_budget_caps_inputs_but_keeps_two(repo):
 
 
 def test_planner_sees_monolithic_output_as_runs(repo):
+    """A tail plan over the whole log leaves one sorted run behind."""
     for key, ts in ((b"a", 1), (b"b", 2), (b"c", 3)):
         repo.append(write(key, ts, b"v"))
-    CompactionJob(repo).run()
+    (tail,) = CompactionPlanner(repo).plan()
+    IncrementalCompactionJob(repo, tail).run()
     plans = CompactionPlanner(repo, tier_fanout=2).plan()
     # One sorted run, no unsorted tail: below fanout, nothing to do.
     assert plans == []
